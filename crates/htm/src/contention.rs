@@ -96,9 +96,19 @@ fn calibrate() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The core count is process-global: one test raising it must not
+    /// overlap another reading the default.
+    static SIM_CORES: Mutex<()> = Mutex::new(());
+
+    fn sim_cores_lock() -> MutexGuard<'static, ()> {
+        SIM_CORES.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn inert_at_one_core() {
+        let _g = sim_cores_lock();
         assert_eq!(sim_cores(), 1);
         let t0 = std::time::Instant::now();
         for _ in 0..10_000 {
@@ -112,6 +122,7 @@ mod tests {
 
     #[test]
     fn charges_scale_with_cores() {
+        let _g = sim_cores_lock();
         let prev = set_sim_cores(8);
         let t0 = std::time::Instant::now();
         for _ in 0..1_000 {

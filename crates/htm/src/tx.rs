@@ -360,31 +360,7 @@ impl<'a> Tx<'a> {
         self.maybe_spurious()?;
         let addr = var.addr();
         if self.mode == TxMode::Direct {
-            let stripe = self.rt.table().stripe_of_addr(addr);
-            let table = self.rt.table();
-            // Spin: stripe locks are only held across short write-backs.
-            let mut spins = 0u32;
-            let held = loop {
-                if let Some(snap) = table.try_lock_current(stripe) {
-                    break snap;
-                }
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    // A committer holding the stripe may need the CPU.
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            };
-            crate::contention::charge_shared_rmw();
-            // SAFETY: we hold the stripe lock.
-            unsafe { var.store_locked(val) };
-            // Advance the global clock and stamp the stripe with the new
-            // value: stripe versions must never exceed the clock, or
-            // speculative readers could never extend past this write and
-            // would spin to a spurious abort.
-            let wv = self.rt.clock().tick();
-            table.unlock_with_version(stripe, wv.max(held.version() + 1));
+            self.direct_modify(var, |_| val);
             return Ok(());
         }
         // Values that do not fit the inline slot buffer cannot be staged:
@@ -424,6 +400,57 @@ impl<'a> Tx<'a> {
         // SAFETY: size/align checked above; the slot buffer is 8-aligned.
         unsafe { std::ptr::write(slot.buf.as_mut_ptr().cast::<T>(), val) };
         Ok(())
+    }
+
+    /// Read-modify-write of one cell; returns the previous value. On the
+    /// fast path this is a transactional read then write. On the direct
+    /// path the cell's stripe lock is held across the load and the store,
+    /// so two slow-path sections that share a reader lock — which does
+    /// not exclude them from each other — cannot lose an update: the
+    /// `atomic.Add` inside an `RLock` section of the Go original.
+    pub fn update<T: Copy>(&mut self, var: &'a TxVar<T>, f: impl FnOnce(T) -> T) -> TxResult<T> {
+        if self.mode == TxMode::Direct {
+            self.check_doomed()?;
+            return Ok(self.direct_modify(var, f));
+        }
+        let old = self.read(var)?;
+        self.write(var, f(old))?;
+        Ok(old)
+    }
+
+    /// Direct-path store of `f(current)` under the cell's stripe lock, so
+    /// overlapping speculative readers observe the version change.
+    /// Returns the value replaced.
+    fn direct_modify<T: Copy>(&self, var: &TxVar<T>, f: impl FnOnce(T) -> T) -> T {
+        let stripe = self.rt.table().stripe_of_addr(var.addr());
+        let table = self.rt.table();
+        // Spin: stripe locks are only held across short write-backs.
+        let mut spins = 0u32;
+        let held = loop {
+            if let Some(snap) = table.try_lock_current(stripe) {
+                break snap;
+            }
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                // A committer holding the stripe may need the CPU.
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        };
+        crate::contention::charge_shared_rmw();
+        // SAFETY: we hold the stripe lock, which every direct store and
+        // every fast-path write-back of this cell takes.
+        let old = unsafe { var.load_racy() };
+        // SAFETY: we hold the stripe lock.
+        unsafe { var.store_locked(f(old)) };
+        // Advance the global clock and stamp the stripe with the new
+        // value: stripe versions must never exceed the clock, or
+        // speculative readers could never extend past this write and
+        // would spin to a spurious abort.
+        let wv = self.rt.clock().tick();
+        table.unlock_with_version(stripe, wv.max(held.version() + 1));
+        old
     }
 
     /// Subscribes the transaction to an elidable lock's word (§5.4): aborts
@@ -864,6 +891,44 @@ mod tests {
         }
         assert_eq!(aborted.expect("must abort").cause, AbortCause::Capacity);
         assert!(tx.inline_overflowed());
+    }
+
+    #[test]
+    fn concurrent_direct_updates_lose_no_increment() {
+        // Slow-path sections under one shared reader lock run in direct
+        // mode side by side; only `update` keeps their RMWs atomic.
+        let rt = rt();
+        let v = TxVar::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..5_000 {
+                        let mut tx = Tx::direct(&rt);
+                        tx.update(&v, |x| x + 1).unwrap();
+                        tx.commit().unwrap();
+                    }
+                });
+            }
+        });
+        let mut tx = Tx::direct(&rt);
+        assert_eq!(tx.read(&v).unwrap(), 20_000);
+        tx.commit().unwrap();
+    }
+
+    #[test]
+    fn update_returns_the_previous_value_on_both_paths() {
+        let rt = rt();
+        let v = TxVar::new(5u64);
+        let mut fast = Tx::fast(&rt);
+        assert_eq!(fast.update(&v, |x| x * 2).unwrap(), 5);
+        assert_eq!(fast.read(&v).unwrap(), 10);
+        fast.commit().unwrap();
+        let mut slow = Tx::direct(&rt);
+        assert_eq!(slow.update(&v, |x| x + 1).unwrap(), 10);
+        slow.commit().unwrap();
+        let mut check = Tx::direct(&rt);
+        assert_eq!(check.read(&v).unwrap(), 11);
+        check.commit().unwrap();
     }
 
     #[test]

@@ -687,11 +687,34 @@ mod tests {
     use super::*;
     use crate::runtime::GoccConfig;
     use gocc_htm::TxVar;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-    fn rt() -> GoccRuntime {
+    /// `set_procs` is process-global: tests that need multi-proc hold a
+    /// read guard for their whole run, and the one test that lowers it
+    /// holds the write guard.
+    static PROCS: RwLock<()> = RwLock::new(());
+
+    /// A default runtime that stays multi-proc while it lives.
+    struct TestRt {
+        rt: GoccRuntime,
+        _procs: RwLockReadGuard<'static, ()>,
+    }
+
+    impl std::ops::Deref for TestRt {
+        type Target = GoccRuntime;
+        fn deref(&self) -> &GoccRuntime {
+            &self.rt
+        }
+    }
+
+    fn rt() -> TestRt {
+        let procs = PROCS.read().unwrap_or_else(PoisonError::into_inner);
         // Force multi-proc so the single-thread bypass does not mask HTM.
         gocc_gosync::set_procs(8);
-        GoccRuntime::new_default()
+        TestRt {
+            rt: GoccRuntime::new_default(),
+            _procs: procs,
+        }
     }
 
     #[test]
@@ -775,6 +798,7 @@ mod tests {
 
     #[test]
     fn np_mode_always_attempts_htm() {
+        let _procs = PROCS.read().unwrap_or_else(PoisonError::into_inner);
         let rt = GoccRuntime::new(GoccConfig::no_perceptron());
         gocc_gosync::set_procs(8);
         let m = ElidableMutex::new();
@@ -789,6 +813,7 @@ mod tests {
 
     #[test]
     fn single_thread_bypass() {
+        let _procs = PROCS.write().unwrap_or_else(PoisonError::into_inner);
         let prev = gocc_gosync::set_procs(1);
         let rt = GoccRuntime::new_default();
         let m = ElidableMutex::new();

@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gocc_htm::TxVar;
 use gocc_optilock::{call_site, critical_mutex, ElidableMutex, GoccRuntime};
@@ -50,6 +51,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// `set_procs` is process-global and each test sets its own value, so
+/// the tests in this binary take turns.
+static PROCS: Mutex<()> = Mutex::new(());
+
+fn procs_lock() -> MutexGuard<'static, ()> {
+    PROCS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn allocations_on_this_thread() -> u64 {
     ALLOCS.with(Cell::get)
 }
@@ -66,6 +75,7 @@ fn allocs_over<F: FnMut()>(iters: u64, mut section: F) -> u64 {
 
 #[test]
 fn steady_state_fast_sections_do_not_allocate() {
+    let _g = procs_lock();
     let prev = gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let m = ElidableMutex::new();
@@ -100,6 +110,7 @@ fn steady_state_direct_sections_do_not_allocate() {
     // procs = 1 engages the single-OS-thread bypass: every section takes
     // the real lock and runs in direct mode, which must be equally free
     // of allocations.
+    let _g = procs_lock();
     let prev = gocc_gosync::set_procs(1);
     let rt = GoccRuntime::new_default();
     let m = ElidableMutex::new();
@@ -131,6 +142,7 @@ fn fully_traced_sections_do_not_allocate() {
     // sampled (N = 1), the sampling decision, the id propagation and the
     // per-attempt span pushes must all stay within the zero-allocation
     // budget — the span ring is fixed-size atomics by construction.
+    let _g = procs_lock();
     let prev = gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     rt.tracer().configure(1, 0xA110_C8);
@@ -173,6 +185,7 @@ fn aborted_sections_do_not_allocate_either() {
     // Conflict-free aborts exercise rollback + context release + retry;
     // the unfriendly abort below forces slow-path completion every time.
     // None of that machinery may allocate in steady state.
+    let _g = procs_lock();
     let prev = gocc_gosync::set_procs(8);
     let rt = GoccRuntime::new_default();
     let m = ElidableMutex::new();

@@ -4,6 +4,8 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::raw::c_short;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,6 +20,7 @@ use gocc_workloads::gocache::BatchOp;
 use gocc_workloads::Engine;
 
 use crate::overload::{classify, VerbClass};
+use crate::readiness::{POLLIN, POLLOUT};
 use crate::repl::{pump_repl_out, ReplSub};
 use crate::stats::verb_index;
 use crate::store::BatchOutcome;
@@ -34,15 +37,13 @@ const TRACE_DEFAULT_MAX: u32 = 4096;
 
 /// What one pump pass decided.
 pub(crate) enum PumpOutcome {
-    /// Keep the connection; `made_progress` gates the worker's idle sleep.
-    Alive { made_progress: bool },
+    /// Keep the connection. `backlog` means it holds work no socket
+    /// readiness will announce (buffered frames past the per-pump cap, a
+    /// replication backlog whose output already drained), so its owner
+    /// must pass again before blocking in `poll(2)`.
+    Alive { backlog: bool },
     /// Remove the connection.
     Close,
-}
-
-enum FlushState {
-    Clean { progressed: bool },
-    Fatal,
 }
 
 /// One admitted-but-unanswered request in the connection's current decode
@@ -141,9 +142,50 @@ impl Conn {
         self.outpos < self.outbuf.len()
     }
 
-    /// Shutdown-drain helper: push pending bytes, ignore errors.
+    /// The socket, for the owner's poll set.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.stream.get_ref().as_raw_fd()
+    }
+
+    /// The readiness the next pump can use: `POLLIN` unless the
+    /// connection is closing or holds `recv_high_water` unprocessed bytes
+    /// (the same test that gates the pump's reads), `POLLOUT` while
+    /// response bytes are pending.
+    pub(crate) fn interest(&self, recv_high_water: usize) -> c_short {
+        let mut events = 0;
+        if !self.closing && self.inbuf.pending() < recv_high_water {
+            events |= POLLIN;
+        }
+        if self.has_pending_output() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
+    /// When the pump next has time-driven work on this connection: the
+    /// slow-client eviction while output is pending, and a subscribed
+    /// stream's next heartbeat.
+    pub(crate) fn deadline(&self, state: &ServerState) -> Option<Instant> {
+        let evict = self
+            .has_pending_output()
+            .then(|| self.last_write_progress + state.config.write_timeout);
+        let beat = match &self.repl {
+            Some(sub) if !self.closing && !state.is_replica() => {
+                Some(sub.next_beat(state.config.repl_lease))
+            }
+            _ => None,
+        };
+        evict.into_iter().chain(beat).min()
+    }
+
+    /// Shutdown-drain helper: push pending bytes; bytes that can no
+    /// longer be delivered are dropped, so the drain stops waiting on
+    /// them.
     pub(crate) fn flush_only(&mut self) {
-        let _ = self.flush_inner();
+        if self.flush_inner().is_err() {
+            self.outbuf.clear();
+            self.outpos = 0;
+        }
     }
 
     /// One cooperative scheduling quantum for this connection.
@@ -153,13 +195,10 @@ impl Conn {
         state: &ServerState,
         wctx: &mut WorkerCtx,
     ) -> PumpOutcome {
-        let mut progressed = false;
-
         // 1. Drain queued response bytes first — a slow client must not
         //    hold buffered responses hostage while we keep reading.
-        match self.flush_inner() {
-            FlushState::Clean { progressed: p } => progressed |= p,
-            FlushState::Fatal => return PumpOutcome::Close,
+        if self.flush_inner().is_err() {
+            return PumpOutcome::Close;
         }
         if self.has_pending_output()
             && self.last_write_progress.elapsed() > state.config.write_timeout
@@ -186,7 +225,6 @@ impl Conn {
                             self.ingest_at = Some(Instant::now());
                         }
                         self.inbuf.extend(&chunk[..n]);
-                        progressed = true;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -196,9 +234,7 @@ impl Conn {
         }
 
         // 3. Admit and execute complete frames.
-        if !self.closing {
-            progressed |= self.process_frames(engine, state, wctx);
-        }
+        let mut backlog = !self.closing && self.process_frames(engine, state, wctx);
         if self.inbuf.pending() == 0 {
             self.ingest_at = None;
         }
@@ -207,9 +243,10 @@ impl Conn {
         // snapshot resyncs, incremental batches, heartbeats. A promoted-
         // away (replica) node stops pumping — its feed is a sink, not a
         // source.
+        let mut feed_saturated = false;
         if !self.closing && !state.is_replica() {
             if let (Some(sub), Some(feed)) = (&mut self.repl, state.repl_feed()) {
-                progressed |= pump_repl_out(
+                feed_saturated = pump_repl_out(
                     sub,
                     feed,
                     &state.store,
@@ -222,10 +259,13 @@ impl Conn {
         }
 
         // 4. Push out whatever step 3 produced.
-        match self.flush_inner() {
-            FlushState::Clean { progressed: p } => progressed |= p,
-            FlushState::Fatal => return PumpOutcome::Close,
+        if self.flush_inner().is_err() {
+            return PumpOutcome::Close;
         }
+        // A feed backlog paused at the output high-water mark waits on
+        // POLLOUT while bytes are pending; once they all went out, only
+        // another pass resumes it.
+        backlog |= feed_saturated && !self.has_pending_output();
 
         if (self.closing || peer_eof) && !self.has_pending_output() {
             return PumpOutcome::Close;
@@ -234,9 +274,7 @@ impl Conn {
             // Half-closed with responses still queued: flush, then close.
             self.closing = true;
         }
-        PumpOutcome::Alive {
-            made_progress: progressed,
-        }
+        PumpOutcome::Alive { backlog }
     }
 
     /// Decodes, admits and executes buffered frames.
@@ -255,16 +293,20 @@ impl Conn {
     /// resynchronizes, so the response is an `Error` and the conversation
     /// continues. Shed and deadline-expired requests answer with their
     /// dedicated retriable responses and also keep the connection.
+    ///
+    /// Returns whether the pass stopped at [`MAX_FRAMES_PER_PUMP`] with
+    /// input still buffered.
     fn process_frames(
         &mut self,
         engine: &Engine<'_>,
         state: &ServerState,
         wctx: &mut WorkerCtx,
     ) -> bool {
-        let mut progressed = false;
         let mut batch = std::mem::take(&mut self.batch);
+        let mut capped = true;
         for _ in 0..MAX_FRAMES_PER_PUMP {
             if self.closing {
+                capped = false;
                 break;
             }
             let arrival = self.ingest_at.unwrap_or_else(Instant::now);
@@ -276,9 +318,11 @@ impl Conn {
                 ..
             } = self;
             match inbuf.next_frame() {
-                Ok(None) => break,
+                Ok(None) => {
+                    capped = false;
+                    break;
+                }
                 Ok(Some(body)) => {
-                    progressed = true;
                     // Replication verbs bypass admission entirely: a
                     // brownout must never shed the ack stream that keeps
                     // the primary's lease (and its replicas) alive. They
@@ -373,7 +417,6 @@ impl Conn {
                 Err(WireError::TooLarge) => {
                     // Oversized frame: FrameBuf discards the body and
                     // resynchronizes, so answer and keep the connection.
-                    progressed = true;
                     flush_batch(engine, state, wctx, outbuf, &mut batch);
                     state.counters.note_oversized();
                     encode_response(
@@ -395,29 +438,27 @@ impl Conn {
         }
         flush_batch(engine, state, wctx, &mut self.outbuf, &mut batch);
         self.batch = batch;
-        progressed
+        capped && self.inbuf.pending() > 0
     }
 
-    fn flush_inner(&mut self) -> FlushState {
-        let mut progressed = false;
+    /// Writes pending response bytes until done or the socket is full;
+    /// an error means the connection is dead.
+    fn flush_inner(&mut self) -> io::Result<()> {
         loop {
             if !self.has_pending_output() {
                 self.outbuf.clear();
                 self.outpos = 0;
-                return FlushState::Clean { progressed };
+                return Ok(());
             }
             match self.stream.write(&self.outbuf[self.outpos..]) {
-                Ok(0) => return FlushState::Fatal,
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
                     self.outpos += n;
                     self.last_write_progress = Instant::now();
-                    progressed = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return FlushState::Clean { progressed }
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return FlushState::Fatal,
+                Err(e) => return Err(e),
             }
         }
     }
@@ -648,6 +689,7 @@ fn flush_batch(
                     // deployment's durable prefix, so it enters the feed
                     // here.
                     feed.publish(staged.shard, std::slice::from_ref(staged));
+                    state.wake_repl_out();
                 }
                 // Replication gate: the ack is withheld until enough
                 // replicas confirmed this record's version.
@@ -929,6 +971,7 @@ fn execute_admitted(
                 // No-WAL primary: everything applied is "durable" by this
                 // deployment's definition, so it enters the feed here.
                 feed.publish(staged.shard, std::slice::from_ref(staged));
+                state.wake_repl_out();
             }
             // Replication gate: with `min_acks` configured, the ack is
             // withheld until enough replicas confirmed this version (or

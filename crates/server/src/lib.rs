@@ -11,15 +11,17 @@
 //!
 //! # Threading and ownership model
 //!
-//! * One **acceptor** thread owns the listener (non-blocking, polled so it
-//!   can observe shutdown) and deals accepted connections round-robin onto
-//!   per-worker channels — the sharded connection dispatcher.
+//! * One **acceptor** thread owns the listener (non-blocking; it blocks in
+//!   `poll(2)` on the listener plus a wake fd that shutdown pokes) and
+//!   deals accepted connections round-robin onto per-worker channels —
+//!   the sharded connection dispatcher — waking the receiving worker.
 //! * `workers` **worker** threads each own a disjoint set of connections
 //!   outright (no connection is ever touched by two threads), pumping them
-//!   with non-blocking reads/writes in a poll loop. Worker state is plain
-//!   `&mut`; the only cross-thread state is the [`ServerState`] behind an
-//!   `Arc` — the store (whose interior synchronization *is* the system
-//!   under test), atomic counters, and the shutdown flag.
+//!   with non-blocking reads/writes and blocking in `poll(2)` on their
+//!   sockets' readiness between passes. Worker state is plain `&mut`; the
+//!   only cross-thread state is the [`ServerState`] behind an `Arc` — the
+//!   store (whose interior synchronization *is* the system under test),
+//!   atomic counters, the shutdown flag, and the threads' wake fds.
 //! * Connections that subscribe as replication streams (REPL_HELLO) are
 //!   handed off to one dedicated **repl-out** thread: a worker may block
 //!   in `wait_replicated` for a `min_acks` write, and the subscriber
@@ -59,12 +61,14 @@
 
 mod conn;
 mod overload;
+mod readiness;
 mod repl;
 mod stats;
 mod store;
 
 use std::io;
 use std::net::{Ipv4Addr, TcpListener};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -75,7 +79,7 @@ use gocc_faultplane::{LoadFault, LoadFaultPlan, TransportFaultPlan};
 use gocc_optilock::{GoccConfig, GoccRuntime};
 pub use gocc_repl::{ReplConfig, ReplFeed, ReplWaitError};
 use gocc_telemetry::trace;
-use gocc_wal::{CheckpointImage, DurableTap, Wal};
+use gocc_wal::{CheckpointImage, DurableTap, Staged, Wal};
 pub use gocc_wal::{SyncPolicy, WalBackend, WalConfig};
 use gocc_wire::Response;
 use gocc_workloads::Engine;
@@ -89,6 +93,12 @@ pub use stats::{ServerCounters, WorkerGauges};
 pub use store::{BatchOutcome, ShardedStore};
 
 use conn::{Conn, PumpOutcome};
+use readiness::{PollFd, Waker, POLLIN, POLLOUT};
+
+/// Poll timeout bound while the brownout controller is not Healthy: it
+/// de-escalates only on per-pass observations, so a silent server must
+/// keep passing to walk back to Healthy.
+const BROWNOUT_TICK: Duration = Duration::from_millis(1);
 
 /// Deployment knobs for one [`spawn`]ed server.
 #[derive(Clone, Debug)]
@@ -251,9 +261,40 @@ pub struct ServerState {
     advertised: Mutex<String>,
     /// Replica-side apply counters for the STATS `repl` object.
     replica_stats: repl::ReplicaCounters,
+    /// A replica's first upstream handshake (see `repl::FirstSession`).
+    first_session: repl::FirstSession,
     /// Build identity echoed in the boot line and STATS header (the
     /// `BENCH_GIT_REV` convention the bench artifacts already use).
     git_rev: String,
+    /// Wake fds of the threads that block in `poll(2)`.
+    wakers: Wakers,
+}
+
+/// Wake fds of the threads that block in `poll(2)` between passes.
+struct Wakers {
+    /// One per worker, by worker index: connection handoff and shutdown.
+    /// Shared with the brownout controller, which wakes every worker when
+    /// the server leaves Healthy so they all start the recovery tick.
+    workers: Arc<[Waker]>,
+    /// The acceptor's: shutdown.
+    acceptor: Waker,
+    /// The repl-out thread's: subscriber handoff, feed publishes,
+    /// promotion, shutdown. Shared with the WAL's durable tap.
+    repl_out: Arc<Waker>,
+}
+
+/// The WAL's durable tap on a replicating node: enters synced records
+/// into the feed, then wakes the repl-out thread to ship them.
+struct FeedTap {
+    feed: Arc<ReplFeed>,
+    wake: Arc<Waker>,
+}
+
+impl DurableTap for FeedTap {
+    fn publish(&self, shard: u32, records: &[Staged]) {
+        self.feed.publish(shard, records);
+        self.wake.wake();
+    }
 }
 
 impl ServerState {
@@ -262,6 +303,14 @@ impl ServerState {
         rt.tracer()
             .configure(config.trace_sample_n, config.trace_seed);
         let store = ShardedStore::new(config.shards, config.capacity_per_shard);
+        let wakers = Wakers {
+            workers: (0..config.workers)
+                .map(|_| Waker::new())
+                .collect::<io::Result<Vec<_>>>()?
+                .into(),
+            acceptor: Waker::new()?,
+            repl_out: Arc::new(Waker::new()?),
+        };
         // Recovery before the listener opens: replay checkpoint + WAL tail
         // into the store, so the first accepted connection already sees
         // every write the previous process acknowledged.
@@ -289,7 +338,10 @@ impl ServerState {
                 &recovered_versions,
             ));
             if let Some(wal) = &wal {
-                wal.set_tap(Arc::clone(&feed) as Arc<dyn DurableTap>);
+                wal.set_tap(Arc::new(FeedTap {
+                    feed: Arc::clone(&feed),
+                    wake: Arc::clone(&wakers.repl_out),
+                }));
             }
             Some(feed)
         } else {
@@ -300,7 +352,7 @@ impl ServerState {
             store,
             shutdown: AtomicBool::new(false),
             counters: ServerCounters::new(config.workers),
-            brownout: BrownoutController::new(config.brownout),
+            brownout: BrownoutController::new(config.brownout).waking(Arc::clone(&wakers.workers)),
             wal,
             repl_feed,
             replica: AtomicBool::new(config.replica_of.is_some()),
@@ -311,7 +363,9 @@ impl ServerState {
             repl_peers: Mutex::new(config.repl_peers.clone()),
             advertised: Mutex::new(String::new()),
             replica_stats: repl::ReplicaCounters::default(),
+            first_session: repl::FirstSession::default(),
             git_rev: std::env::var("BENCH_GIT_REV").unwrap_or_else(|_| "unknown".to_string()),
+            wakers,
             config,
         })
     }
@@ -458,8 +512,15 @@ impl ServerState {
         }
         if let Some(feed) = &self.repl_feed {
             feed.reset_versions(&self.store.versions(engine));
+            // Subscribers at other versions are now flagged for resync.
+            self.wake_repl_out();
         }
         self.set_upstream(String::new());
+    }
+
+    /// Wakes the repl-out thread: the feed has something new to ship.
+    pub(crate) fn wake_repl_out(&self) {
+        self.wakers.repl_out.wake();
     }
 
     /// Times this node's failure detector declared its upstream dead.
@@ -503,6 +564,11 @@ impl ServerState {
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        for w in self.wakers.workers.iter() {
+            w.wake();
+        }
+        self.wakers.acceptor.wake();
+        self.wakers.repl_out.wake();
     }
 
     /// The brownout controller (state, transition counters).
@@ -523,8 +589,9 @@ impl ServerState {
 
     /// End-of-pump bookkeeping for one worker: publish the pass's queue
     /// depth, feed the brownout controller one observation (idle passes
-    /// feed zeros, which is what decays the EWMAs back to Healthy), and
-    /// take the load plan's stall draw.
+    /// — [`BROWNOUT_TICK`] wakeups while not Healthy — feed zeros, which
+    /// is what decays the EWMAs back to Healthy), and take the load
+    /// plan's stall draw.
     fn finish_pump(&self, wctx: &mut WorkerCtx) {
         self.counters.set_queue_depth(wctx.worker, wctx.frames_seen);
         let mean_lat_ns = if wctx.lat_count > 0 {
@@ -832,18 +899,18 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     };
 
     // The replica's sink thread: dials the upstream, applies the stream,
-    // exits on shutdown or promotion.
+    // exits on shutdown or promotion. A replica is returned only once its
+    // first session was welcomed upstream or ended (bounded by the
+    // suspicion timeout), so the caller's writes after `spawn` stream to
+    // it rather than racing its handshake.
     let replicator = if state.config.replica_of.is_some() {
         let rp_state = Arc::clone(&state);
-        Some(
-            std::thread::Builder::new()
-                .name("goccd-replica".into())
-                .spawn(move || repl::replica_loop(&rp_state))
-                .map_err(|e| {
-                    state.request_shutdown();
-                    e
-                })?,
-        )
+        let handle = std::thread::Builder::new()
+            .name("goccd-replica".into())
+            .spawn(move || repl::replica_loop(&rp_state))
+            .inspect_err(|_| state.request_shutdown())?;
+        state.first_session.wait(state.config.repl_suspect);
+        Some(handle)
     } else {
         None
     };
@@ -891,6 +958,10 @@ fn acceptor_loop(
     state: &ServerState,
 ) {
     let mut next = 0usize;
+    let mut fds = [
+        state.wakers.acceptor.poll_fd(),
+        PollFd::new(listener.as_raw_fd(), POLLIN),
+    ];
     while !state.shutting_down() {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -899,19 +970,69 @@ fn acceptor_loop(
                     continue;
                 }
                 state.counters.note_accept();
-                // Shard the connection onto a worker; a dead worker (only
-                // possible on panic) just drops the stream.
-                let _ = senders[next % senders.len()].send(stream);
+                // Shard the connection onto a worker and wake it; a dead
+                // worker (only possible on panic) just drops the stream.
+                let w = next % senders.len();
+                if senders[w].send(stream).is_ok() {
+                    state.wakers.workers[w].wake();
+                }
                 next += 1;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            // Nothing pending: block until a connection arrives or
+            // shutdown pokes the wake fd.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => readiness::wait(&mut fds, None),
+            // Accept failed (e.g. out of fds): back off 1 ms on the wake
+            // fd alone, so shutdown still interrupts.
+            Err(_) => readiness::wait(
+                &mut fds[..1],
+                Some(Instant::now() + Duration::from_millis(1)),
+            ),
         }
     }
     // Dropping the senders tells each worker no more connections are
     // coming.
+}
+
+/// Moves everything queued on `rx` into `conns`; returns whether every
+/// sender is gone.
+fn adopt<T>(rx: &Receiver<T>, conns: &mut Vec<Conn>, make: impl Fn(T) -> Conn) -> bool {
+    loop {
+        match rx.try_recv() {
+            Ok(x) => conns.push(make(x)),
+            Err(TryRecvError::Empty) => return false,
+            Err(TryRecvError::Disconnected) => return true,
+        }
+    }
+}
+
+/// Blocks until `wake` fires, a connection is ready for what it waits on
+/// ([`Conn::interest`]), its earliest time-driven event comes due
+/// ([`Conn::deadline`]), or `tick` passes. Pending wakes are consumed
+/// before returning, so the caller's next look at its channel and
+/// connections sees everything they announced.
+fn wait_ready(
+    wake: &Waker,
+    conns: &[Conn],
+    state: &ServerState,
+    tick: Option<Duration>,
+    fds: &mut Vec<PollFd>,
+) {
+    let deadline = conns
+        .iter()
+        .filter_map(|c| c.deadline(state))
+        .chain(tick.map(|t| Instant::now() + t))
+        .min();
+    fds.clear();
+    fds.push(wake.poll_fd());
+    fds.extend(
+        conns
+            .iter()
+            .map(|c| PollFd::new(c.fd(), c.interest(state.config.recv_high_water))),
+    );
+    readiness::wait(fds, deadline);
+    if fds[0].ready() {
+        wake.reset();
+    }
 }
 
 fn worker_loop(
@@ -922,7 +1043,7 @@ fn worker_loop(
 ) {
     let engine = Engine::new(&state.rt, state.config.mode);
     let mut conns: Vec<Conn> = Vec::new();
-    let mut dispatcher_gone = false;
+    let mut fds = Vec::new();
     let mut wctx = WorkerCtx {
         worker,
         frames_seen: 0,
@@ -930,24 +1051,16 @@ fn worker_loop(
         lat_count: 0,
     };
     loop {
-        // Adopt newly dispatched connections.
-        loop {
-            match rx.try_recv() {
-                Ok(stream) => conns.push(Conn::new(stream, state.config.fault_plan.clone())),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    dispatcher_gone = true;
-                    break;
-                }
-            }
-        }
+        let dispatcher_gone = adopt(rx, &mut conns, |stream| {
+            Conn::new(stream, state.config.fault_plan.clone())
+        });
 
-        let mut progressed = false;
+        let mut backlog = false;
         let mut i = 0;
         while i < conns.len() {
             match conns[i].pump(&engine, state, &mut wctx) {
-                PumpOutcome::Alive { made_progress } => {
-                    progressed |= made_progress;
+                PumpOutcome::Alive { backlog: b } => {
+                    backlog |= b;
                     // A connection that subscribed as a replication
                     // stream leaves this worker for the dedicated
                     // repl-out thread: a worker can block in
@@ -955,12 +1068,14 @@ fn worker_loop(
                     // keep pumping while it does.
                     if conns[i].is_repl_sub() {
                         if let Some(tx) = &repl_tx {
-                            let c = conns.swap_remove(i);
-                            if let Err(send_err) = tx.send(c) {
-                                // Repl thread already gone (shutdown):
-                                // close the stream here.
-                                send_err.0.on_close(state);
-                                state.counters.note_close();
+                            match tx.send(conns.swap_remove(i)) {
+                                Ok(()) => state.wake_repl_out(),
+                                Err(send_err) => {
+                                    // Repl thread already gone (shutdown):
+                                    // close the stream here.
+                                    send_err.0.on_close(state);
+                                    state.counters.note_close();
+                                }
                             }
                             continue;
                         }
@@ -983,8 +1098,9 @@ fn worker_loop(
         if dispatcher_gone && conns.is_empty() {
             return;
         }
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
+        if !backlog {
+            let tick = (state.brownout.state() != HealthState::Healthy).then_some(BROWNOUT_TICK);
+            wait_ready(&state.wakers.workers[worker], &conns, state, tick, &mut fds);
         }
     }
 }
@@ -994,11 +1110,13 @@ fn worker_loop(
 /// the batch/heartbeat stream is pumped even while every worker sits
 /// blocked in [`ReplFeed::wait_replicated`] — pumping subscribers from
 /// the workers deadlocked every `min_acks` write whenever the writing
-/// client and the subscription shared a worker.
+/// client and the subscription shared a worker. Between passes it blocks
+/// on the subscribers' sockets, its wake fd (handoffs, feed publishes,
+/// promotion, shutdown) and the next heartbeat due.
 fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
     let engine = Engine::new(&state.rt, state.config.mode);
     let mut conns: Vec<Conn> = Vec::new();
-    let mut senders_gone = false;
+    let mut fds = Vec::new();
     // Scratch only: this thread's frames must not feed the brownout
     // controller or the per-worker gauges, so `finish_pump` is never
     // called and the counters are cleared by hand each pass.
@@ -1009,22 +1127,12 @@ fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
         lat_count: 0,
     };
     loop {
-        // Adopt subscriber connections handed over by the workers.
-        loop {
-            match rx.try_recv() {
-                Ok(c) => conns.push(c),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    senders_gone = true;
-                    break;
-                }
-            }
-        }
+        let senders_gone = adopt(rx, &mut conns, |c| c);
 
-        let mut progressed = false;
+        let mut backlog = false;
         conns.retain_mut(|c| match c.pump(&engine, state, &mut wctx) {
-            PumpOutcome::Alive { made_progress } => {
-                progressed |= made_progress;
+            PumpOutcome::Alive { backlog: b } => {
+                backlog |= b;
                 true
             }
             PumpOutcome::Close => {
@@ -1044,22 +1152,33 @@ fn repl_out_loop(rx: &Receiver<Conn>, state: &ServerState) {
         if senders_gone && conns.is_empty() {
             return;
         }
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
+        if !backlog {
+            wait_ready(&state.wakers.repl_out, &conns, state, None, &mut fds);
         }
     }
 }
 
 /// Bounded final flush: give every connection up to
 /// [`ServerConfig::drain_timeout`] to drain its pending response bytes,
-/// then close regardless.
+/// blocking on their writability in between, then close regardless.
 fn drain_and_close(conns: &mut Vec<Conn>, state: &ServerState) {
     let deadline = Instant::now() + state.config.drain_timeout;
-    while Instant::now() < deadline && conns.iter().any(Conn::has_pending_output) {
+    let mut fds = Vec::new();
+    loop {
         for c in conns.iter_mut() {
             c.flush_only();
         }
-        std::thread::sleep(Duration::from_micros(200));
+        fds.clear();
+        fds.extend(
+            conns
+                .iter()
+                .filter(|c| c.has_pending_output())
+                .map(|c| PollFd::new(c.fd(), POLLOUT)),
+        );
+        if fds.is_empty() || Instant::now() >= deadline {
+            break;
+        }
+        readiness::wait(&mut fds, Some(deadline));
     }
     for c in conns.drain(..) {
         c.on_close(state);

@@ -26,11 +26,13 @@
 //! once per worker pump pass, never per request.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gocc_telemetry::Ewma;
 use gocc_wire::Request;
+
+use crate::readiness::Waker;
 
 /// The server's overload state, reported by the HEALTH verb.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,6 +201,9 @@ pub struct BrownoutController {
     signals: Mutex<Signals>,
     transitions: [AtomicU64; 4],
     last_stats: Mutex<Option<Instant>>,
+    /// Woken when the state leaves Healthy: recovery needs observations,
+    /// and a worker blocked in `poll(2)` makes none until it wakes.
+    wake_on_alert: Option<Arc<[Waker]>>,
 }
 
 impl BrownoutController {
@@ -214,8 +219,16 @@ impl BrownoutController {
             }),
             transitions: Default::default(),
             last_stats: Mutex::new(None),
+            wake_on_alert: None,
             cfg,
         }
+    }
+
+    /// Wakes `wakers` whenever the state leaves Healthy, whoever drove
+    /// the escalation, so every worker starts ticking toward recovery.
+    pub(crate) fn waking(mut self, wakers: Arc<[Waker]>) -> Self {
+        self.wake_on_alert = Some(wakers);
+        self
     }
 
     /// The configuration this controller runs with.
@@ -251,6 +264,9 @@ impl BrownoutController {
         };
         self.transitions[edge].fetch_add(1, Ordering::Relaxed);
         self.state.store(to as u8, Ordering::Relaxed);
+        if let (HealthState::Healthy, Some(wakers)) = (from, &self.wake_on_alert) {
+            wakers.iter().for_each(Waker::wake);
+        }
     }
 
     /// Feeds one pump pass's signals: the pass's queue depth (frames seen)

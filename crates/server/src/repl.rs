@@ -20,7 +20,7 @@
 use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use gocc_repl::{resync_backoff, ReplFeed, SnapshotAssembler, SubId};
@@ -65,6 +65,11 @@ impl ReplSub {
             snap: None,
         }
     }
+
+    /// When [`pump_repl_out`] emits this stream's next heartbeat.
+    pub(crate) fn next_beat(&self, lease: Duration) -> Instant {
+        self.last_beat + lease / 4
+    }
 }
 
 /// One armed shard snapshot mid-stream. Holding the raw entries (24 B
@@ -88,7 +93,8 @@ struct SnapStream {
 /// snapshot-resync any flagged shards, drain incremental batches, and
 /// emit heartbeats (count-0 batches stamped with the stream's version,
 /// which double as the version audit that keeps the lease honest).
-/// Returns whether anything was produced.
+/// Returns whether output reached [`OUT_HIGH_WATER`] — the feed may hold
+/// more for this stream once the buffer drains.
 pub(crate) fn pump_repl_out(
     sub: &mut ReplSub,
     feed: &ReplFeed,
@@ -98,8 +104,6 @@ pub(crate) fn pump_repl_out(
     lease: Duration,
     epoch: u64,
 ) -> bool {
-    let mut progressed = false;
-
     // Snapshot resync, one shard at a time, streamed across pump
     // quanta: arm (so records released from here on queue *behind* the
     // snapshot), snapshot the live shard in one read section, ship it
@@ -158,7 +162,6 @@ pub(crate) fn pump_repl_out(
             );
             snap.started = true;
             snap.next = end;
-            progressed = true;
             if flags & REPL_FLAG_FIN != 0 {
                 finished = true;
                 break;
@@ -190,14 +193,13 @@ pub(crate) fn pump_repl_out(
                 outbuf,
             );
         }
-        progressed = true;
     }
 
     // Heartbeats at a quarter of the lease: an idle stream still acks
     // four times per window, so a healthy-but-quiet replica never gets
     // the primary fenced, and a version drift surfaces as a NAK even
     // with no traffic.
-    if sub.last_beat.elapsed() >= lease / 4 {
+    if Instant::now() >= sub.next_beat(lease) {
         for (shard, v) in feed.heartbeat_versions(sub.id).iter().enumerate() {
             if let Some(version) = v {
                 encode_response(
@@ -211,12 +213,11 @@ pub(crate) fn pump_repl_out(
                     },
                     outbuf,
                 );
-                progressed = true;
             }
         }
         sub.last_beat = Instant::now();
     }
-    progressed
+    outbuf.len() >= OUT_HIGH_WATER
 }
 
 /// Replica-side counters, reported in the STATS `repl` object.
@@ -276,6 +277,31 @@ impl ReplicaCounters {
     }
 }
 
+/// Released once the replica sink's first upstream session is welcomed
+/// or ends, whichever comes first: `spawn` waits on it so that a replica
+/// it returns already follows its primary, and writes made after `spawn`
+/// stream to it instead of racing its handshake into a snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct FirstSession {
+    settled: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl FirstSession {
+    fn release(&self) {
+        *self.settled.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.cv.notify_all();
+    }
+
+    /// Waits until released, for at most `timeout`.
+    pub(crate) fn wait(&self, timeout: Duration) {
+        let settled = self.settled.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = self
+            .cv
+            .wait_timeout_while(settled, timeout, |settled| !*settled);
+    }
+}
+
 /// How one upstream session ended.
 enum SessionEnd {
     /// Shutdown or promotion observed — the loop exits.
@@ -323,7 +349,9 @@ pub(crate) fn replica_loop(state: &Arc<ServerState>) {
         + suspect_jitter(state.config.repl_seed, state.config.repl_suspect);
     while !state.shutting_down() && state.is_replica() {
         let mut suspected = false;
-        match run_session(state, &engine, &mut last_contact) {
+        let end = run_session(state, &engine, &mut last_contact);
+        state.first_session.release();
+        match end {
             SessionEnd::Stop => return,
             SessionEnd::Repointed => attempt = 0,
             SessionEnd::Failed => {
@@ -613,6 +641,7 @@ fn run_session(
                         return SessionEnd::Failed;
                     }
                     state.observe_epoch(epoch);
+                    state.first_session.release();
                 }
                 Response::ReplBatch {
                     shard,

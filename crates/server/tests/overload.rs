@@ -236,6 +236,38 @@ fn brownout_recovers_to_healthy_after_load_removal() {
 }
 
 #[test]
+fn brownout_recovers_with_no_traffic() {
+    gocc_gosync::set_procs(8);
+    let mut cfg = config(Mode::Gocc);
+    cfg.brownout.alpha = 0.5;
+    cfg.brownout.recover_obs = 3;
+    let handle = spawn(cfg).expect("spawn");
+    // No client ever connects: the workers sit blocked in poll(2), and
+    // only the recovery tick can feed the controller the idle
+    // observations it needs to walk back down.
+    std::thread::sleep(Duration::from_millis(50));
+    handle.state().brownout().observe(1_000.0, 0.0);
+    handle.state().brownout().observe(1_000.0, 0.0);
+    assert_eq!(handle.state().brownout().state(), HealthState::Shedding);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.state().brownout().state() != HealthState::Healthy {
+        assert!(
+            Instant::now() < deadline,
+            "server stuck in {:?} with no traffic",
+            handle.state().brownout().state()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let t = handle.state().brownout().transitions();
+    assert!(
+        t[2] >= 1 && t[3] >= 1,
+        "recovery edges must be counted: {t:?}"
+    );
+    handle.request_shutdown();
+    let _ = handle.join();
+}
+
+#[test]
 fn queue_limit_sheds_a_pipelined_burst() {
     gocc_gosync::set_procs(8);
     let mut cfg = config(Mode::Gocc);

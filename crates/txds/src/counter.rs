@@ -27,9 +27,8 @@ impl TxCounter {
 
     /// Adds `delta` (wrapping), returning the new value.
     pub fn add<'a>(&'a self, tx: &mut Tx<'a>, delta: u64) -> TxResult<u64> {
-        let v = tx.read(&self.value)?.wrapping_add(delta);
-        tx.write(&self.value, v)?;
-        Ok(v)
+        let old = tx.update(&self.value, |v| v.wrapping_add(delta))?;
+        Ok(old.wrapping_add(delta))
     }
 
     /// Stores `value`.
@@ -39,9 +38,7 @@ impl TxCounter {
 
     /// Resets to zero and returns the previous value (metric snapshotting).
     pub fn take<'a>(&'a self, tx: &mut Tx<'a>) -> TxResult<u64> {
-        let v = tx.read(&self.value)?;
-        tx.write(&self.value, 0)?;
-        Ok(v)
+        tx.update(&self.value, |_| 0)
     }
 }
 

@@ -63,6 +63,20 @@ for mode in lock gocc; do
     kill "$goccd_pid" 2>/dev/null || true
     exit 1
   fi
+  # Idle cost: with no client connected every goccd thread must be
+  # blocked on readiness, not waking on a timer. Read the daemon's
+  # user+system ticks (stat fields 14 and 15) across 1 s of silence;
+  # fail above 0.02 cores.
+  t0=$(awk '{ sub(/.*\) /, ""); print $12 + $13 }' "/proc/$goccd_pid/stat")
+  sleep 1
+  t1=$(awk '{ sub(/.*\) /, ""); print $12 + $13 }' "/proc/$goccd_pid/stat")
+  idle=$(awk -v d="$((t1 - t0))" -v hz="$(getconf CLK_TCK)" 'BEGIN { printf "%.3f", d / hz }')
+  if awk -v c="$idle" 'BEGIN { exit !(c > 0.02) }'; then
+    echo "FAIL: idle goccd ($mode) used $idle cores (gate 0.02)" >&2
+    kill "$goccd_pid" 2>/dev/null || true
+    exit 1
+  fi
+  echo "ok: idle goccd $mode used $idle cores (gate 0.02)"
   ./target/release/loadgen --addr "127.0.0.1:$port" --mode "$mode" \
     --workers 2 --warmup-ms 50 --window-ms 200
   # Same daemon, pipelined: 32 frames outstanding per connection drives
